@@ -132,12 +132,10 @@ func TestProxyFaultsSurfaceTypedAndServerSurvives(t *testing.T) {
 
 	// Admission slots leak-free: the gauge must settle back to zero even
 	// though many requests died mid-flight.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Inflight() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("admission gauge stuck at %d after the storm", srv.Inflight())
-		}
-		time.Sleep(5 * time.Millisecond)
+	ictx, icancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer icancel()
+	if err := srv.WaitIdle(ictx); err != nil {
+		t.Fatalf("admission gauge stuck at %d after the storm: %v", srv.Inflight(), err)
 	}
 
 	// The server is not wedged: a clean (direct, no proxy) client gets

@@ -51,9 +51,8 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q3:
 		// avg(number_of_pages) over all items.
 		sum, n := 0.0, 0
-		pageCol := items.Col("number_of_pages")
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			if f, ok := parseFloat(r[pageCol]); ok {
+		if err := items.ScanCols(ctx, []int{items.Col("number_of_pages")}, func(v []string) bool {
+			if f, ok := parseFloat(v[0]); ok {
 				sum += f
 				n++
 			}
@@ -69,9 +68,8 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		// Existential (Q6) / universal (Q7) quantification over author
 		// countries: GROUP BY item over the author table.
 		perItem := map[string][]string{}
-		idCol, coCol := authors.Col("item_id"), authors.Col("country")
-		if err := authors.Scan(ctx, func(r relational.Row) bool {
-			perItem[r[idCol]] = append(perItem[r[idCol]], r[coCol])
+		if err := authors.ScanCols(ctx, []int{authors.Col("item_id"), authors.Col("country")}, func(v []string) bool {
+			perItem[v[0]] = append(perItem[v[0]], v[1])
 			return true
 		}); err != nil {
 			return nil, err
@@ -98,10 +96,9 @@ func execDCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		if q == core.Q6 {
 			// Q6 returns item ids.
 			var out []string
-			idc := items.Col("id")
-			if err := items.Scan(ctx, func(r relational.Row) bool {
-				if want[r[idc]] {
-					out = append(out, r[idc])
+			if err := items.ScanCols(ctx, []int{items.Col("id")}, func(v []string) bool {
+				if want[v[0]] {
+					out = append(out, v[0])
 				}
 				return true
 			}); err != nil {
@@ -161,11 +158,10 @@ func reconstructItem(ctx context.Context, s *shredder.Store, items *relational.T
 
 func titlesOfItems(ctx context.Context, items *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
-	idCol, titleCol := items.Col("id"), items.Col("title")
-	if err := items.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := items.ScanCols(ctx, []int{items.Col("id"), items.Col("title")}, func(v []string) bool {
+		if want[v[0]] {
 			n := xmldom.NewElement("title")
-			n.AddText(r[titleCol])
+			n.AddText(v[1])
 			out = append(out, n.XML())
 		}
 		return true
@@ -183,10 +179,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q2:
 		// Ids of orders containing item I.
 		rows := map[string]bool{}
-		oCol, iCol := lines.Col("order_id"), lines.Col("item_id")
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if r[iCol] == p.Get("I") {
-				rows[r[oCol]] = true
+		if err := lines.ScanCols(ctx, []int{lines.Col("order_id"), lines.Col("item_id")}, func(v []string) bool {
+			if v[1] == p.Get("I") {
+				rows[v[0]] = true
 			}
 			return true
 		}); err != nil {
@@ -199,11 +194,10 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		// which equals document order, so the float result matches the
 		// native engine's bit-for-bit.
 		sum := 0.0
-		dCol, tCol := orders.Col("order_date"), orders.Col("total")
 		lo, hi := p.Get("LO"), p.Get("HI")
-		if err := orders.Scan(ctx, func(r relational.Row) bool {
-			if d := r[dCol]; !relational.IsNull(d) && d >= lo && d <= hi {
-				if f, ok := parseFloat(r[tCol]); ok {
+		if err := orders.ScanCols(ctx, []int{orders.Col("order_date"), orders.Col("total")}, func(v []string) bool {
+			if d := v[0]; !relational.IsNull(d) && d >= lo && d <= hi {
+				if f, ok := parseFloat(v[1]); ok {
 					sum += f
 				}
 			}
@@ -215,10 +209,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q6:
 		// Orders with some line of qty >= 5.
 		want := map[string]bool{}
-		oCol, qCol := lines.Col("order_id"), lines.Col("qty")
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if f, ok := parseFloat(r[qCol]); ok && f >= 5 {
-				want[r[oCol]] = true
+		if err := lines.ScanCols(ctx, []int{lines.Col("order_id"), lines.Col("qty")}, func(v []string) bool {
+			if f, ok := parseFloat(v[1]); ok && f >= 5 {
+				want[v[0]] = true
 			}
 			return true
 		}); err != nil {
@@ -228,10 +221,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q15:
 		// Orders whose status element is present but empty.
 		var out []string
-		sCol, idCol := orders.Col("order_status"), orders.Col("id")
-		if err := orders.Scan(ctx, func(r relational.Row) bool {
-			if r[sCol] == "" {
-				out = append(out, r[idCol])
+		if err := orders.ScanCols(ctx, []int{orders.Col("order_status"), orders.Col("id")}, func(v []string) bool {
+			if v[0] == "" {
+				out = append(out, v[1])
 			}
 			return true
 		}); err != nil {
@@ -244,10 +236,9 @@ func execDCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 
 func orderIDs(ctx context.Context, orders *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
-	idCol := orders.Col("id")
-	if err := orders.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
-			out = append(out, r[idCol])
+	if err := orders.ScanCols(ctx, []int{orders.Col("id")}, func(v []string) bool {
+		if want[v[0]] {
+			out = append(out, v[0])
 		}
 		return true
 	}); err != nil {
@@ -315,10 +306,9 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q2:
 		// Headwords of entries quoting author Y.
 		want := map[string]bool{}
-		aCol, eCol := quotes.Col("a"), quotes.Col("entry_id")
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			if r[aCol] == p.Get("Y") {
-				want[r[eCol]] = true
+		if err := quotes.ScanCols(ctx, []int{quotes.Col("a"), quotes.Col("entry_id")}, func(v []string) bool {
+			if v[0] == p.Get("Y") {
+				want[v[1]] = true
 			}
 			return true
 		}); err != nil {
@@ -351,17 +341,17 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 		// diverges from string-value semantics and is checked as Lossy.
 		phrase := p.Get("PHRASE")
 		want := map[string]bool{}
-		if err := senses.Scan(ctx, func(r relational.Row) bool {
-			if contains(r[senses.Col("def")], phrase) {
-				want[r[senses.Col("entry_id")]] = true
+		if err := senses.ScanCols(ctx, []int{senses.Col("def"), senses.Col("entry_id")}, func(v []string) bool {
+			if contains(v[0], phrase) {
+				want[v[1]] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			if contains(r[quotes.Col("qt")], phrase) {
-				want[r[quotes.Col("entry_id")]] = true
+		if err := quotes.ScanCols(ctx, []int{quotes.Col("qt"), quotes.Col("entry_id")}, func(v []string) bool {
+			if contains(v[0], phrase) {
+				want[v[1]] = true
 			}
 			return true
 		}); err != nil {
@@ -374,11 +364,10 @@ func execTCSDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 
 func headwordsOf(ctx context.Context, entries *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
-	idCol, hwCol := entries.Col("id"), entries.Col("hw")
-	if err := entries.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := entries.ScanCols(ctx, []int{entries.Col("id"), entries.Col("hw")}, func(v []string) bool {
+		if want[v[0]] {
 			n := xmldom.NewElement("hw")
-			n.AddText(r[hwCol])
+			n.AddText(v[1])
 			out = append(out, n.XML())
 		}
 		return true
@@ -396,10 +385,9 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q2:
 		// Titles of articles authored by Y.
 		want := map[string]bool{}
-		nCol, aCol := artAuthors.Col("name"), artAuthors.Col("article_id")
-		if err := artAuthors.Scan(ctx, func(r relational.Row) bool {
-			if r[nCol] == p.Get("Y") {
-				want[r[aCol]] = true
+		if err := artAuthors.ScanCols(ctx, []int{artAuthors.Col("name"), artAuthors.Col("article_id")}, func(v []string) bool {
+			if v[0] == p.Get("Y") {
+				want[v[1]] = true
 			}
 			return true
 		}); err != nil {
@@ -409,9 +397,8 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q3:
 		// Group articles by genre with counts, genre-sorted.
 		counts := map[string]int{}
-		gCol := arts.Col("genre")
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			if g := r[gCol]; !relational.IsNull(g) {
+		if err := arts.ScanCols(ctx, []int{arts.Col("genre")}, func(v []string) bool {
+			if g := v[0]; !relational.IsNull(g) {
 				counts[g]++
 			}
 			return true
@@ -460,22 +447,21 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 	case core.Q15:
 		// Authors with empty contact in articles within the date window.
 		inWindow := map[string]bool{}
-		dCol, idCol := arts.Col("date"), arts.Col("id")
 		lo, hi := p.Get("LO"), p.Get("HI")
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			if d := r[dCol]; !relational.IsNull(d) && d >= lo && d <= hi {
-				inWindow[r[idCol]] = true
+		if err := arts.ScanCols(ctx, []int{arts.Col("date"), arts.Col("id")}, func(v []string) bool {
+			if d := v[0]; !relational.IsNull(d) && d >= lo && d <= hi {
+				inWindow[v[1]] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
 		var out []string
-		cCol, nCol, aCol := artAuthors.Col("contact"), artAuthors.Col("name"), artAuthors.Col("article_id")
-		if err := artAuthors.Scan(ctx, func(r relational.Row) bool {
-			if inWindow[r[aCol]] && r[cCol] == "" {
+		cols := []int{artAuthors.Col("contact"), artAuthors.Col("name"), artAuthors.Col("article_id")}
+		if err := artAuthors.ScanCols(ctx, cols, func(v []string) bool {
+			if inWindow[v[2]] && v[0] == "" {
 				n := xmldom.NewElement("name")
-				n.AddText(r[nCol])
+				n.AddText(v[1])
 				out = append(out, n.XML())
 			}
 			return true
@@ -489,11 +475,10 @@ func execTCMDExtended(ctx context.Context, s *shredder.Store, a access, q core.Q
 
 func titlesOfArticles(ctx context.Context, arts *relational.Table, want map[string]bool) ([]string, error) {
 	var out []string
-	idCol, tCol := arts.Col("id"), arts.Col("title")
-	if err := arts.Scan(ctx, func(r relational.Row) bool {
-		if want[r[idCol]] {
+	if err := arts.ScanCols(ctx, []int{arts.Col("id"), arts.Col("title")}, func(v []string) bool {
+		if want[v[0]] {
 			n := xmldom.NewElement("title")
-			n.AddText(r[tCol])
+			n.AddText(v[1])
 			out = append(out, n.XML())
 		}
 		return true

@@ -125,11 +125,11 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 			}
 		}
 		var out []string
-		idCol, faxCol, nameCol := pubs.Col("item_id"), pubs.Col("fax_number"), pubs.Col("name")
-		if err := pubs.Scan(ctx, func(r relational.Row) bool {
-			if want[r[idCol]] && relational.IsNull(r[faxCol]) {
+		cols := []int{pubs.Col("item_id"), pubs.Col("fax_number"), pubs.Col("name")}
+		if err := pubs.ScanCols(ctx, cols, func(v []string) bool {
+			if want[v[0]] && relational.IsNull(v[1]) {
 				n := xmldom.NewElement("name")
-				n.AddText(r[nameCol])
+				n.AddText(v[2])
 				out = append(out, xml(n))
 			}
 			return true
@@ -157,12 +157,12 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		return out, nil
 	case core.Q17:
 		word := p.Get("W2")
-		descCol, titleCol := items.Col("description"), items.Col("title")
+		cols := []int{items.Col("description"), items.Col("title")}
 		var out []string
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			if !relational.IsNull(r[descCol]) && xquery.ContainsWord(r[descCol], word) {
+		if err := items.ScanCols(ctx, cols, func(v []string) bool {
+			if !relational.IsNull(v[0]) && xquery.ContainsWord(v[0], word) {
 				n := xmldom.NewElement("title")
-				n.AddText(r[titleCol])
+				n.AddText(v[1])
 				out = append(out, xml(n))
 			}
 			return true
@@ -174,20 +174,16 @@ func execDCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		// Datatype cast: number_of_pages compared numerically.
 		limit := p.Get("N")
 		var out []string
-		pageCol, titleCol := items.Col("number_of_pages"), items.Col("title")
-		rows := []relational.Row{}
-		if err := items.Scan(ctx, func(r relational.Row) bool {
-			rows = append(rows, append(relational.Row(nil), r...))
+		cols := []int{items.Col("number_of_pages"), items.Col("title")}
+		if err := items.ScanCols(ctx, cols, func(v []string) bool {
+			if numGreater(v[0], limit) {
+				n := xmldom.NewElement("title")
+				n.AddText(v[1])
+				out = append(out, xml(n))
+			}
 			return true
 		}); err != nil {
 			return nil, err
-		}
-		for _, r := range rows {
-			if numGreater(r[pageCol], limit) {
-				n := xmldom.NewElement("title")
-				n.AddText(r[titleCol])
-				out = append(out, xml(n))
-			}
 		}
 		return out, nil
 	}
@@ -331,13 +327,13 @@ func execDCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		return []string{xml(reconstructOrder(orders, lines, rows[0], lrows))}, nil
 	case core.Q17:
 		word := p.Get("W2")
-		cCol, oCol := lines.Col("comment"), lines.Col("order_id")
+		cols := []int{lines.Col("comment"), lines.Col("order_id")}
 		seen := map[string]bool{}
 		var out []string
-		if err := lines.Scan(ctx, func(r relational.Row) bool {
-			if !relational.IsNull(r[cCol]) && xquery.ContainsWord(r[cCol], word) && !seen[r[oCol]] {
-				seen[r[oCol]] = true
-				out = append(out, r[oCol])
+		if err := lines.ScanCols(ctx, cols, func(v []string) bool {
+			if !relational.IsNull(v[0]) && xquery.ContainsWord(v[0], word) && !seen[v[1]] {
+				seen[v[1]] = true
+				out = append(out, v[1])
 			}
 			return true
 		}); err != nil {
@@ -505,11 +501,11 @@ func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		return []string{xml(qp)}, nil
 	case core.Q14:
 		var out []string
-		etymCol, hwCol := entries.Col("etym"), entries.Col("hw")
-		if err := entries.Scan(ctx, func(r relational.Row) bool {
-			if relational.IsNull(r[etymCol]) {
+		cols := []int{entries.Col("etym"), entries.Col("hw")}
+		if err := entries.ScanCols(ctx, cols, func(v []string) bool {
+			if relational.IsNull(v[0]) {
 				n := xmldom.NewElement("hw")
-				n.AddText(r[hwCol])
+				n.AddText(v[1])
 				out = append(out, xml(n))
 			}
 			return true
@@ -521,34 +517,33 @@ func execTCSD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		// Text search must scan every table holding entry text.
 		word := p.Get("W2")
 		match := map[string]bool{}
-		hwCol, etymCol := entries.Col("hw"), entries.Col("etym")
 		type entryRow struct{ id, hw string }
 		var order []entryRow
-		if err := entries.Scan(ctx, func(r relational.Row) bool {
-			id := r[entries.Col("id")]
-			order = append(order, entryRow{id, r[hwCol]})
-			if xquery.ContainsWord(r[hwCol], word) ||
-				(!relational.IsNull(r[etymCol]) && xquery.ContainsWord(r[etymCol], word)) {
-				match[id] = true
+		cols := []int{entries.Col("id"), entries.Col("hw"), entries.Col("etym")}
+		if err := entries.ScanCols(ctx, cols, func(v []string) bool {
+			order = append(order, entryRow{v[0], v[1]})
+			if xquery.ContainsWord(v[1], word) ||
+				(!relational.IsNull(v[2]) && xquery.ContainsWord(v[2], word)) {
+				match[v[0]] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		if err := senses.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[senses.Col("def")], word) {
-				match[r[senses.Col("entry_id")]] = true
+		cols = []int{senses.Col("def"), senses.Col("entry_id")}
+		if err := senses.ScanCols(ctx, cols, func(v []string) bool {
+			if xquery.ContainsWord(v[0], word) {
+				match[v[1]] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
-		qtCol, aCol, locCol := quotes.Col("qt"), quotes.Col("a"), quotes.Col("loc")
-		if err := quotes.Scan(ctx, func(r relational.Row) bool {
-			qt := r[qtCol]
-			if (!relational.IsNull(qt) && xquery.ContainsWord(qt, word)) ||
-				xquery.ContainsWord(r[aCol], word) || xquery.ContainsWord(r[locCol], word) {
-				match[r[quotes.Col("entry_id")]] = true
+		cols = []int{quotes.Col("qt"), quotes.Col("a"), quotes.Col("loc"), quotes.Col("entry_id")}
+		if err := quotes.ScanCols(ctx, cols, func(v []string) bool {
+			if (!relational.IsNull(v[0]) && xquery.ContainsWord(v[0], word)) ||
+				xquery.ContainsWord(v[1], word) || xquery.ContainsWord(v[2], word) {
+				match[v[3]] = true
 			}
 			return true
 		}); err != nil {
@@ -663,11 +658,10 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		match := map[string]bool{}
 		type artRow struct{ id, title string }
 		var order []artRow
-		if err := arts.Scan(ctx, func(r relational.Row) bool {
-			id := r[arts.Col("id")]
-			order = append(order, artRow{id, r[arts.Col("title")]})
-			if xquery.ContainsWord(r[arts.Col("title")], word) {
-				match[id] = true
+		if err := arts.ScanCols(ctx, []int{arts.Col("id"), arts.Col("title")}, func(v []string) bool {
+			order = append(order, artRow{v[0], v[1]})
+			if xquery.ContainsWord(v[1], word) {
+				match[v[0]] = true
 			}
 			return true
 		}); err != nil {
@@ -682,19 +676,20 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}); err != nil {
 			return nil, err
 		}
-		if err := paras.Scan(ctx, func(r relational.Row) bool {
-			if xquery.ContainsWord(r[paras.Col("text")], word) {
-				match[r[paras.Col("article_id")]] = true
+		if err := paras.ScanCols(ctx, []int{paras.Col("text"), paras.Col("article_id")}, func(v []string) bool {
+			if xquery.ContainsWord(v[0], word) {
+				match[v[1]] = true
 			}
 			return true
 		}); err != nil {
 			return nil, err
 		}
 		authors := s.DB.Table("art_author_tab")
-		if err := authors.Scan(ctx, func(r relational.Row) bool {
-			for _, col := range []string{"name", "affiliation", "bio"} {
-				if v := r[authors.Col(col)]; !relational.IsNull(v) && xquery.ContainsWord(v, word) {
-					match[r[authors.Col("article_id")]] = true
+		cols := []int{authors.Col("article_id"), authors.Col("name"), authors.Col("affiliation"), authors.Col("bio")}
+		if err := authors.ScanCols(ctx, cols, func(v []string) bool {
+			for _, text := range v[1:] {
+				if !relational.IsNull(text) && xquery.ContainsWord(text, word) {
+					match[v[0]] = true
 				}
 			}
 			return true
@@ -710,9 +705,9 @@ func execTCMD(ctx context.Context, s *shredder.Store, a access, q core.QueryID, 
 		}); err != nil {
 			return nil, err
 		}
-		if err := secs.Scan(ctx, func(r relational.Row) bool {
-			if h := r[secs.Col("heading")]; !relational.IsNull(h) && xquery.ContainsWord(h, word) {
-				match[r[secs.Col("article_id")]] = true
+		if err := secs.ScanCols(ctx, []int{secs.Col("heading"), secs.Col("article_id")}, func(v []string) bool {
+			if !relational.IsNull(v[0]) && xquery.ContainsWord(v[0], word) {
+				match[v[1]] = true
 			}
 			return true
 		}); err != nil {

@@ -623,11 +623,12 @@ func (e *Engine) execDCMD(ctx context.Context, v *view, a access, q core.QueryID
 		custID := parsed.Root().FirstChild("customer_id").Text()
 		custSide := v.db.Table("customer_side")
 		var out []string
-		if err := custSide.Scan(ctx, func(r relational.Row) bool {
-			if r[custSide.Col("id")] == custID {
+		cols := []int{custSide.Col("id"), custSide.Col("c_fname"), custSide.Col("c_lname"), custSide.Col("c_phone")}
+		if err := custSide.ScanCols(ctx, cols, func(v []string) bool {
+			if v[0] == custID {
 				n := xmldom.NewElement("r")
-				n.AddLeaf("name", r[custSide.Col("c_fname")]+" "+r[custSide.Col("c_lname")])
-				n.AddLeaf("phone", r[custSide.Col("c_phone")])
+				n.AddLeaf("name", v[1]+" "+v[2])
+				n.AddLeaf("phone", v[3])
 				st := orow[orderSide.Col("order_status")]
 				if relational.IsNull(st) {
 					st = ""
@@ -673,13 +674,14 @@ func (e *Engine) execTCMD(ctx context.Context, v *view, a access, q core.QueryID
 			top     bool
 		}
 		var secs []secRow
-		if err := secSide.Scan(ctx, func(r relational.Row) bool {
-			if r[secSide.Col("doc")] == doc {
-				seq, _ := strconv.Atoi(r[secSide.Col("dxx_seqno")])
+		cols := []int{secSide.Col("doc"), secSide.Col("dxx_seqno"), secSide.Col("heading"), secSide.Col("top")}
+		if err := secSide.ScanCols(ctx, cols, func(v []string) bool {
+			if v[0] == doc {
+				seq, _ := strconv.Atoi(v[1])
 				secs = append(secs, secRow{
 					seq:     seq,
-					heading: r[secSide.Col("heading")],
-					top:     r[secSide.Col("top")] == "1",
+					heading: v[2],
+					top:     v[3] == "1",
 				})
 			}
 			return true

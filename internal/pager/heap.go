@@ -128,68 +128,112 @@ func (h *Heap) Sync() error {
 	return h.p.Sync(h.fid)
 }
 
-// readAt fills buf from the heap starting at offset, going through the
-// buffer pool (and the in-memory tail when needed). The context is
-// checked before each page fetch — this is the page-fetch granularity at
-// which query cancellation is honored.
-func (h *Heap) readAt(ctx context.Context, buf []byte, off uint64) error {
-	for len(buf) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pageNo := uint32(off / PageSize)
-		pageOff := int(off % PageSize)
-		var src []byte
-		if h.hasTail && pageNo == h.tailNo && h.tailDirty {
-			// Unflushed data is only available in memory; once flushed,
-			// reads go through the buffer pool like any other page so
-			// cold-run I/O is fully accounted.
-			src = h.tail
-		} else {
-			pg, err := h.p.Read(h.fid, pageNo)
-			if err != nil {
-				return err
-			}
-			src = pg
-		}
-		n := copy(buf, src[pageOff:])
-		if n == 0 {
-			return fmt.Errorf("pager: heap read stalled at offset %d", off)
-		}
-		buf = buf[n:]
-		off += uint64(n)
+// fetch returns page no of the live heap: the in-memory tail while it
+// holds unflushed data, the buffer pool otherwise. Once flushed, the tail
+// page is read through the pool like any other, so cold-run I/O is fully
+// accounted.
+func (h *Heap) fetch(no uint32) ([]byte, error) {
+	if h.hasTail && no == h.tailNo && h.tailDirty {
+		return h.tail, nil
 	}
-	return nil
+	return h.p.Read(h.fid, no)
 }
 
-// Get returns the record stored at rid. The result is a fresh copy.
-// Cancellation via ctx is honored at page-fetch granularity.
-func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
-	off := uint64(rid)
-	if off+4 > h.end {
-		return nil, fmt.Errorf("pager: rid %d beyond heap end %d", rid, h.end)
-	}
-	var pfx [4]byte
-	if err := h.readAt(ctx, pfx[:], off); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if off+4+uint64(n) > h.end {
-		return nil, fmt.Errorf("pager: rid %d has corrupt length %d", rid, n)
-	}
-	rec := make([]byte, n)
-	if err := h.readAt(ctx, rec, off+4); err != nil {
-		return nil, err
-	}
-	return rec, nil
+// cursor is the page-at-a-time record reader under Heap and HeapView: it
+// holds the last page fetched, so every record and length prefix that
+// lies on that page is served without another fetch. The context is
+// checked before each page fetch — the granularity at which scans and
+// reads honor cancellation.
+type cursor struct {
+	ctx   context.Context
+	end   uint64 // record extent
+	fetch func(no uint32) ([]byte, error)
+	what  string // "heap" or "heap view", for errors
+
+	no  uint32
+	pg  []byte // page no, nil before the first fetch
+	buf []byte // reused for records that span pages
 }
 
-// Scan visits every record in insertion order. Returning false stops the
-// scan early. Cancellation via ctx is honored at page-fetch granularity.
-func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	off := uint64(0)
-	for off < h.end {
-		rec, err := h.Get(ctx, RID(off))
+func (c *cursor) page(no uint32) ([]byte, error) {
+	if c.pg != nil && c.no == no {
+		return c.pg, nil
+	}
+	if err := c.ctx.Err(); err != nil {
+		return nil, err
+	}
+	pg, err := c.fetch(no)
+	if err != nil {
+		return nil, err
+	}
+	c.no, c.pg = no, pg
+	return pg, nil
+}
+
+// span returns the n bytes at off: a sub-slice of one page when they lie
+// on it, else a copy into the reused buffer.
+func (c *cursor) span(off uint64, n int) ([]byte, error) {
+	if n == 0 {
+		return nil, nil // an empty body may start past the last page
+	}
+	pg, err := c.page(uint32(off / PageSize))
+	if err != nil {
+		return nil, err
+	}
+	po := int(off % PageSize)
+	if po+n <= PageSize {
+		return pg[po : po+n], nil
+	}
+	if cap(c.buf) < n {
+		c.buf = make([]byte, n)
+	}
+	b := c.buf[:n]
+	for k := 0; k < n; {
+		pg, err := c.page(uint32(off / PageSize))
+		if err != nil {
+			return nil, err
+		}
+		m := copy(b[k:], pg[off%PageSize:])
+		k += m
+		off += uint64(m)
+	}
+	return b, nil
+}
+
+// record returns the record whose length prefix starts at off. The
+// result aliases a page or the cursor's buffer: it is valid only until
+// the next call.
+func (c *cursor) record(off uint64) ([]byte, error) {
+	if off+4 > c.end {
+		return nil, fmt.Errorf("pager: rid %d beyond %s end %d", off, c.what, c.end)
+	}
+	pfx, err := c.span(off, 4)
+	if err != nil {
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(pfx)
+	if off+4+uint64(n) > c.end {
+		return nil, fmt.Errorf("pager: rid %d has corrupt length %d in %s", off, n, c.what)
+	}
+	return c.span(off+4, int(n))
+}
+
+// get returns a private copy of the record at rid. A record that spans
+// pages was already copied into the buffer of this one-use cursor, so
+// only a record aliasing a page is copied.
+func (c *cursor) get(rid RID) ([]byte, error) {
+	rec, err := c.record(uint64(rid))
+	if err != nil || (len(rec) > 0 && len(c.buf) > 0 && &rec[0] == &c.buf[0]) {
+		return rec, err
+	}
+	return append([]byte{}, rec...), nil
+}
+
+// scan visits every record of the extent in insertion order, fetching
+// each page once; fn's rec is valid only during the call.
+func (c *cursor) scan(fn func(rid RID, rec []byte) bool) error {
+	for off := uint64(0); off < c.end; {
+		rec, err := c.record(off)
 		if err != nil {
 			return err
 		}
@@ -199,6 +243,26 @@ func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) erro
 		off += 4 + uint64(len(rec))
 	}
 	return nil
+}
+
+func (h *Heap) cursor(ctx context.Context) *cursor {
+	return &cursor{ctx: ctx, end: h.end, fetch: h.fetch, what: "heap"}
+}
+
+// Get returns the record stored at rid. The result is a fresh copy.
+// Cancellation via ctx is honored at page-fetch granularity.
+func (h *Heap) Get(ctx context.Context, rid RID) ([]byte, error) {
+	return h.cursor(ctx).get(rid)
+}
+
+// Scan visits every record in insertion order, fetching each page once
+// (through the buffer pool, or the in-memory tail while it is dirty).
+// rec aliases the page, or a buffer reused for records that span pages:
+// it is valid only during the call, and fn must copy what it keeps.
+// Returning false stops the scan early. Cancellation via ctx is honored
+// at page-fetch granularity.
+func (h *Heap) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
+	return h.cursor(ctx).scan(fn)
 }
 
 // Reset truncates the heap to empty so it can be rebuilt (used when a

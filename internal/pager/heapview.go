@@ -1,10 +1,6 @@
 package pager
 
-import (
-	"context"
-	"encoding/binary"
-	"fmt"
-)
+import "context"
 
 // HeapView is an immutable snapshot of a Heap: the record extent frozen
 // at view time, with every page read served as of a commit epoch
@@ -59,62 +55,19 @@ func (v HeapView) Pages() int64 {
 	return int64((v.end + PageSize - 1) / PageSize)
 }
 
-// readAt fills buf starting at offset, reading pages as of the view's
-// epoch. Cancellation is honored at page-fetch granularity, like
-// Heap.readAt.
-func (v HeapView) readAt(ctx context.Context, buf []byte, off uint64) error {
-	for len(buf) > 0 {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		pg, err := v.p.ReadAt(v.fid, uint32(off/PageSize), v.epoch)
-		if err != nil {
-			return err
-		}
-		n := copy(buf, pg[off%PageSize:])
-		if n == 0 {
-			return fmt.Errorf("pager: heap view read stalled at offset %d", off)
-		}
-		buf = buf[n:]
-		off += uint64(n)
-	}
-	return nil
+func (v HeapView) cursor(ctx context.Context) *cursor {
+	return &cursor{ctx: ctx, end: v.end, what: "heap view",
+		fetch: func(no uint32) ([]byte, error) { return v.p.ReadAt(v.fid, no, v.epoch) }}
 }
 
 // Get returns a fresh copy of the record stored at rid, as of the view.
 func (v HeapView) Get(ctx context.Context, rid RID) ([]byte, error) {
-	off := uint64(rid)
-	if off+4 > v.end {
-		return nil, fmt.Errorf("pager: rid %d beyond heap view end %d", rid, v.end)
-	}
-	var pfx [4]byte
-	if err := v.readAt(ctx, pfx[:], off); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(pfx[:])
-	if off+4+uint64(n) > v.end {
-		return nil, fmt.Errorf("pager: rid %d has corrupt length %d in view", rid, n)
-	}
-	rec := make([]byte, n)
-	if err := v.readAt(ctx, rec, off+4); err != nil {
-		return nil, err
-	}
-	return rec, nil
+	return v.cursor(ctx).get(rid)
 }
 
-// Scan visits every record of the view in insertion order; returning
-// false stops early.
+// Scan visits every record of the view in insertion order, fetching each
+// page once at the view's epoch. rec is valid only during the call, as
+// for Heap.Scan. Returning false stops early.
 func (v HeapView) Scan(ctx context.Context, fn func(rid RID, rec []byte) bool) error {
-	off := uint64(0)
-	for off < v.end {
-		rec, err := v.Get(ctx, RID(off))
-		if err != nil {
-			return err
-		}
-		if !fn(RID(off), rec) {
-			return nil
-		}
-		off += 4 + uint64(len(rec))
-	}
-	return nil
+	return v.cursor(ctx).scan(fn)
 }

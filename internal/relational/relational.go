@@ -5,9 +5,9 @@
 // and the small set of physical operators the hand-translated workload
 // queries need.
 //
-// Concurrency: the read operators (Scan, Get, LookupEq, LookupRange) are
-// safe from many goroutines once loading is done; each table guards its
-// index map and row directory with a reader/writer latch so Insert and
+// Concurrency: the read operators (Scan, ScanCols, Get, LookupEq,
+// LookupRange) are safe from many goroutines once loading is done; each
+// table guards its index map with a reader/writer latch so Insert and
 // CreateIndex exclude readers. Schema definition (Create) is not
 // concurrent — tables are created before any load or query runs.
 package relational
@@ -57,12 +57,11 @@ type Table struct {
 	colIdx map[string]int
 	heap   *pager.Heap
 
-	// mu guards indexes and rids: writers (Insert, CreateIndex, Truncate)
-	// take it exclusive, readers take it shared just long enough to fetch
-	// the index pointer — the btree has its own latch for the traversal.
+	// mu guards indexes: writers (Insert, CreateIndex, Truncate) take it
+	// exclusive, readers take it shared just long enough to fetch the
+	// index pointer — the btree has its own latch for the traversal.
 	mu      sync.RWMutex
 	indexes map[string]*btree.Tree
-	rids    []pager.RID // insertion order, for stable scans
 
 	// snap, when non-nil, marks this table as an immutable epoch-pinned
 	// snapshot (snapshot.go): reads serve the frozen heap view and index
@@ -94,10 +93,10 @@ func (db *DB) Create(name string, cols ...string) *Table {
 // Table returns a table by name, or nil.
 func (db *DB) Table(name string) *Table { return db.tables[name] }
 
-// Truncate empties every table: heap pages, the row directory and all
-// indexes are discarded (index pager files are abandoned; CreateIndex
-// builds fresh ones). The schema survives, so a failed bulk load leaves
-// an empty but loadable database.
+// Truncate empties every table: heap pages and all indexes are
+// discarded (index pager files are abandoned; CreateIndex builds fresh
+// ones). The schema survives, so a failed bulk load leaves an empty but
+// loadable database.
 func (db *DB) Truncate() error {
 	for _, name := range db.TableNames() {
 		t := db.tables[name]
@@ -105,7 +104,6 @@ func (db *DB) Truncate() error {
 			return err
 		}
 		t.mu.Lock()
-		t.rids = nil
 		t.indexes = map[string]*btree.Tree{}
 		t.mu.Unlock()
 	}
@@ -154,7 +152,6 @@ func (t *Table) Insert(row Row) error {
 	if err != nil {
 		return err
 	}
-	t.rids = append(t.rids, rid)
 	for col, ix := range t.indexes {
 		v := row[t.Col(col)]
 		if IsNull(v) {
@@ -185,14 +182,13 @@ func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	ci := t.Col(col)
-	var keep []Row
+	var keep [][]byte
 	deleted := 0
 	err := t.heap.Scan(ctx, func(_ pager.RID, rec []byte) bool {
-		row := decodeRow(rec)
-		if row[ci] == val {
+		if string(colBytes(rec, ci)) == val {
 			deleted++
 		} else {
-			keep = append(keep, row)
+			keep = append(keep, append([]byte(nil), rec...))
 		}
 		return true
 	})
@@ -210,14 +206,11 @@ func (t *Table) DeleteWhere(ctx context.Context, col, val string) (int, error) {
 	if err := t.heap.Reset(); err != nil {
 		return deleted, err
 	}
-	t.rids = nil
 	t.indexes = map[string]*btree.Tree{}
-	for _, row := range keep {
-		rid, err := t.heap.Insert(encodeRow(row))
-		if err != nil {
+	for _, rec := range keep {
+		if _, err := t.heap.Insert(rec); err != nil {
 			return deleted, err
 		}
-		t.rids = append(t.rids, rid)
 	}
 	if err := t.heap.Flush(); err != nil {
 		return deleted, err
@@ -252,9 +245,8 @@ func (t *Table) createIndexLocked(col string) error {
 		return err
 	}
 	err = t.heap.Scan(context.Background(), func(rid pager.RID, rec []byte) bool {
-		row := decodeRow(rec)
-		if !IsNull(row[ci]) {
-			if e := ix.Insert(row[ci], uint64(rid)); e != nil {
+		if v := colBytes(rec, ci); string(v) != Null {
+			if e := ix.Insert(string(v), uint64(rid)); e != nil {
 				err = e
 				return false
 			}
@@ -299,13 +291,58 @@ func (t *Table) reg() *metrics.Registry { return t.db.Pager.Metrics() }
 // page is read). Returning false stops early. Cancellation via ctx is
 // honored at page-fetch granularity.
 func (t *Table) Scan(ctx context.Context, fn func(Row) bool) error {
+	return t.scan(ctx, func(rec []byte) bool { return fn(decodeRow(rec)) })
+}
+
+// ScanCols is Scan decoding only the listed columns: vals[i] holds column
+// cols[i]. The vals slice is reused from row to row; each value in it is
+// its own string, safe to keep.
+func (t *Table) ScanCols(ctx context.Context, cols []int, fn func(vals []string) bool) error {
+	vals := make([]string, len(cols))
+	return t.scan(ctx, func(rec []byte) bool {
+		for i, ci := range cols {
+			vals[i] = string(colBytes(rec, ci))
+		}
+		return fn(vals)
+	})
+}
+
+// scan is the counted, timed walk under every scan operator; rec is the
+// encoded row, valid only during the call.
+func (t *Table) scan(ctx context.Context, fn func(rec []byte) bool) error {
 	reg := t.reg()
 	reg.Counter("relational.scan").Inc()
 	defer reg.StartSpan(metrics.PhaseScan).End()
+	rows := int64(0)
+	defer func() { reg.Counter("relational.scan.row").Add(rows) }()
 	return t.scanRecords(ctx, func(_ pager.RID, rec []byte) bool {
-		reg.Counter("relational.scan.row").Inc()
-		return fn(decodeRow(rec))
+		rows++
+		return fn(rec)
 	})
+}
+
+// filter scans for the rows whose column ci satisfies match, testing it
+// on the encoded bytes and decoding only the rows that pass. n > 0 stops
+// after n rows.
+func (t *Table) filter(ctx context.Context, ci int, match func(v []byte) bool, n int) ([]Row, error) {
+	var rows []Row
+	err := t.scan(ctx, func(rec []byte) bool {
+		if match(colBytes(rec, ci)) {
+			rows = append(rows, decodeRow(rec))
+		}
+		return n <= 0 || len(rows) < n
+	})
+	return rows, err
+}
+
+// eqMatch and rangeMatch are the filter predicates of the equality and
+// range operators; NULL never falls in a range.
+func eqMatch(val string) func([]byte) bool {
+	return func(v []byte) bool { return string(v) == val }
+}
+
+func rangeMatch(lo, hi string) func([]byte) bool {
+	return func(v []byte) bool { return string(v) != Null && string(v) >= lo && string(v) <= hi }
 }
 
 // Get fetches one row by RID.
@@ -339,15 +376,7 @@ func (t *Table) LookupEq(ctx context.Context, col, val string) ([]Row, error) {
 		}
 		return rows, nil
 	}
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
-		}
-		return true
-	})
-	return rows, err
+	return t.filter(ctx, t.Col(col), eqMatch(val), 0)
 }
 
 // LookupRange returns rows with lo <= col <= hi (string comparison, which
@@ -373,15 +402,7 @@ func (t *Table) LookupRange(ctx context.Context, col, lo, hi string) ([]Row, err
 		}
 		return rows, err
 	}
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if !IsNull(r[ci]) && r[ci] >= lo && r[ci] <= hi {
-			rows = append(rows, r)
-		}
-		return true
-	})
-	return rows, err
+	return t.filter(ctx, t.Col(col), rangeMatch(lo, hi), 0)
 }
 
 // LookupEqN is LookupEq with a row cap: the planner's limit pushdown
@@ -413,43 +434,19 @@ func (t *Table) LookupEqN(ctx context.Context, col, val string, n int) ([]Row, e
 		}
 		return rows, nil
 	}
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
-		}
-		return len(rows) < n
-	})
-	return rows, err
+	return t.filter(ctx, t.Col(col), eqMatch(val), n)
 }
 
 // ScanEq filters sequentially for col == val even when an index exists:
 // the executor's path for plans whose cost model chose the scan.
 func (t *Table) ScanEq(ctx context.Context, col, val string) ([]Row, error) {
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if r[ci] == val {
-			rows = append(rows, r)
-		}
-		return true
-	})
-	return rows, err
+	return t.filter(ctx, t.Col(col), eqMatch(val), 0)
 }
 
 // ScanRange filters sequentially for lo <= col <= hi even when an index
 // exists, mirroring ScanEq for range plans.
 func (t *Table) ScanRange(ctx context.Context, col, lo, hi string) ([]Row, error) {
-	ci := t.Col(col)
-	var rows []Row
-	err := t.Scan(ctx, func(r Row) bool {
-		if !IsNull(r[ci]) && r[ci] >= lo && r[ci] <= hi {
-			rows = append(rows, r)
-		}
-		return true
-	})
-	return rows, err
+	return t.filter(ctx, t.Col(col), rangeMatch(lo, hi), 0)
 }
 
 // HeapPages returns the page count of the table's record heap, the
@@ -483,6 +480,16 @@ func encodeRow(row Row) []byte {
 		buf = append(buf, v...)
 	}
 	return buf
+}
+
+// colBytes returns the encoded value of column ci, aliasing rec.
+func colBytes(rec []byte, ci int) []byte {
+	off := 2
+	for i := 0; i < ci; i++ {
+		off += 4 + int(binary.BigEndian.Uint32(rec[off:off+4]))
+	}
+	l := int(binary.BigEndian.Uint32(rec[off : off+4]))
+	return rec[off+4 : off+4+l]
 }
 
 func decodeRow(rec []byte) Row {

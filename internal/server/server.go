@@ -112,6 +112,11 @@ type Server struct {
 	rDeduped   *metrics.Counter // server.req.deduped (idempotent replays)
 	drainState atomic.Bool
 
+	// idleMu guards idle, which WaitIdle callers block on and release
+	// closes when the inflight gauge returns to zero.
+	idleMu sync.Mutex
+	idle   chan struct{}
+
 	// Exactly-once update machinery: dedup answers retries with the
 	// original result; journal (optional, see Reopen) makes acknowledged
 	// updates durable across process death; updMu serializes apply +
@@ -243,6 +248,31 @@ func (s *Server) Metrics() *metrics.Registry { return s.reg }
 // admitted request releases its slot on every path.
 func (s *Server) Inflight() int64 { return s.rInflight.Value() }
 
+// WaitIdle blocks until no request holds an admission slot, or ctx ends.
+// A client can see its last response before the server releases that
+// request's slot (the slot is held until the response is written, which
+// is the drain barrier), so "no requests in flight" is observed by
+// waiting for quiescence rather than by reading Inflight once.
+func (s *Server) WaitIdle(ctx context.Context) error {
+	for {
+		s.idleMu.Lock()
+		if s.Inflight() == 0 {
+			s.idleMu.Unlock()
+			return nil
+		}
+		if s.idle == nil {
+			s.idle = make(chan struct{})
+		}
+		idle := s.idle
+		s.idleMu.Unlock()
+		select {
+		case <-idle:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+}
+
 func (s *Server) acceptLoop() {
 	defer s.connWg.Done()
 	for {
@@ -364,6 +394,14 @@ func (s *Server) admit() error {
 func (s *Server) release() {
 	s.rInflight.Add(-1)
 	<-s.sem
+	if s.Inflight() == 0 {
+		s.idleMu.Lock()
+		if s.idle != nil {
+			close(s.idle)
+			s.idle = nil
+		}
+		s.idleMu.Unlock()
+	}
 }
 
 // reqCtx derives the per-request context: the server-side cap, tightened

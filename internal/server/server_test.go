@@ -197,9 +197,7 @@ func TestRemoteEngineEndToEnd(t *testing.T) {
 	if got := srv.Metrics().Counter("server.conn.accepted").Value(); got != 1 {
 		t.Fatalf("server accepted %d connections for one sequential client, want 1", got)
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after quiesce", srv.Inflight())
-	}
+	waitIdle(t, srv, "after quiesce")
 }
 
 // TestPerRequestTimeout: a client deadline rides the wire and cancels the
@@ -275,9 +273,7 @@ func TestOverloadSheds(t *testing.T) {
 	if overloaded < 1 {
 		t.Fatal("no request observed ErrOverloaded")
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after overload storm", srv.Inflight())
-	}
+	waitIdle(t, srv, "after overload storm")
 	if srv.Metrics().Counter("server.req.rejected").Value() != int64(overloaded) {
 		t.Fatalf("rejected counter %d, want %d",
 			srv.Metrics().Counter("server.req.rejected").Value(), overloaded)
@@ -421,9 +417,7 @@ func TestDriverThroughOverloadAndDrain(t *testing.T) {
 	if err == nil || !errors.Is(err, wire.ErrOverloaded) {
 		t.Fatalf("driver error %v, want to observe ErrOverloaded", err)
 	}
-	if srv.Inflight() != 0 {
-		t.Fatalf("inflight = %d after the storm", srv.Inflight())
-	}
+	waitIdle(t, srv, "after the storm")
 
 	dctx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
@@ -432,5 +426,18 @@ func TestDriverThroughOverloadAndDrain(t *testing.T) {
 	}
 	if !eng.closed.Load() {
 		t.Fatal("engine not closed")
+	}
+}
+
+// waitIdle asserts that the inflight gauge reaches zero within a
+// deadline. A client holds its last response a moment before the server
+// releases that request's admission slot, so a single Inflight read
+// right after the client returns can still see the slot held.
+func waitIdle(t *testing.T, srv *server.Server, when string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := srv.WaitIdle(ctx); err != nil {
+		t.Fatalf("inflight = %d %s: %v", srv.Inflight(), when, err)
 	}
 }
